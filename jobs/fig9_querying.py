@@ -24,7 +24,7 @@ def main(n_series: int = 4000) -> None:
         n_queries=20, length=128, w=8, bits=8, leaf_capacity=100, workdir=wd,
     )
     print(format_rows(
-        rows, ["system", "n_series", "mode", "avg_sim_s", "avg_distance", "avg_visited"],
+        rows, ["system", "n_series", "mode", "avg_sim_s", "avg_wall_s", "avg_distance", "avg_visited"],
         "\n== Fig 9a/9b: exact + approximate query time vs data size ==",
     ))
     rows = quality_and_radius(
@@ -33,7 +33,8 @@ def main(n_series: int = 4000) -> None:
     )
     print(format_rows(
         rows,
-        ["config", "mode", "avg_sim_s", "avg_distance", "avg_visited", "beats_baseline_frac", "beats_or_ties_frac"],
+        ["config", "mode", "avg_sim_s", "avg_wall_s", "avg_distance", "avg_visited",
+         "beats_baseline_frac", "beats_or_ties_frac"],
         "\n== Fig 9c-9f: quality, radius, visited records (fixed size) ==",
     ))
     spark.stop()

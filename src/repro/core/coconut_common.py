@@ -10,11 +10,18 @@ comparison (paper §4.2 vs §4.3) clean:
   indexes, whose leaves hold ids ("offsets") instead of series.
 - a driver-side *leaf directory* (min/max z-key, count, per-segment
   symbol bounds): the in-memory internal levels of the tree/trie.
-- a persisted Spark DataFrame of summaries in file order: the paper's
-  "in-memory summarizations" used by the SIMS exact search.
+- a persisted Spark DataFrame of summaries in file order, written by
+  the bulk load.
 
-They differ only in how ranks map to leaves (median/equi split vs
-prefix split) and in construction cost accounting.
+Queries run on the driver only.  On first use an index copies its
+query-side data into :class:`ResidentData` — contiguous numpy arrays
+in rank (file) order: the paper's "in-memory summarizations" plus the
+series the queries refine with (leaf series for Full indexes, the raw
+file for secondary ones).  ``read_leaves`` and ``fetch_raw`` are slices
+of those arrays; no query runs a Spark job.
+
+The variants differ only in how ranks map to leaves (median/equi split
+vs prefix split) and in construction cost accounting.
 """
 from __future__ import annotations
 
@@ -28,6 +35,73 @@ from pyspark.sql import functions as F
 from repro.storage.disk_model import DiskConfig, DiskModel
 
 SUMMARY_COLS = ["id", "zkey", "sax", "paa", "rank", "leaf_id"]
+#: Summary columns a query needs (plus ``series`` for Full indexes).
+RESIDENT_COLS = ["rank", "id", "zkey", "sax", "leaf_id"]
+
+
+@dataclass
+class ResidentData:
+    """An index's query-side data in driver memory; row ``r`` is rank ``r``.
+
+    Ranks are dense 0..N-1, so a rank is a row number: a leaf is a
+    contiguous run of rows and a skip-sequential scan visits rows in file
+    order.
+    """
+
+    ids: np.ndarray          # (N,) int64
+    zkeys: np.ndarray        # (N,) fixed-width str
+    sax: np.ndarray          # (N, w) uint8 (uint16 above 8 bits)
+    leaf_ids: np.ndarray     # (N,) int64, non-decreasing
+    series: np.ndarray       # (N, n) float64: leaf series, or the raw file's
+    sorted_ids: np.ndarray   # ids ascending ...
+    id_ranks: np.ndarray     # ... and the rank of each
+
+    def ranks_of(self, ids) -> np.ndarray:
+        """Ranks of ``ids``, in the given order; ids not indexed are dropped."""
+        ids = np.asarray(ids, dtype=np.int64)
+        pos = np.searchsorted(self.sorted_ids, ids).clip(max=len(self.sorted_ids) - 1)
+        return self.id_ranks[pos[self.sorted_ids[pos] == ids]]
+
+
+def _scatter(column, dest: np.ndarray, width: int, dtype) -> np.ndarray:
+    """A fixed-width Arrow list column as a (len(dest), width) matrix whose
+    row ``dest[i]`` holds list ``i``; filled one chunk at a time, so the
+    only full-size copy is the result."""
+    out = np.empty((len(dest), width), dtype=dtype)
+    start = 0
+    for chunk in column.chunks:
+        n = len(chunk)
+        values = chunk.flatten().to_numpy(zero_copy_only=False)
+        out[dest[start : start + n]] = values.reshape(n, width)
+        start += n
+    return out
+
+
+def load_resident(index: "CoconutIndex") -> ResidentData:
+    """Copy the persisted summaries (and, for a secondary index, the raw
+    file) into driver memory through Arrow, in rank order."""
+    cols = RESIDENT_COLS + (["series"] if index.materialized else [])
+    t = index.summaries.select(*cols).toArrow()
+    rank = t.column("rank").to_numpy()
+    order = np.argsort(rank)
+    ids = t.column("id").to_numpy()[order]
+    id_ranks = np.argsort(ids)
+    sorted_ids = ids[id_ranks]
+    if index.materialized:
+        series = _scatter(t.column("series"), rank, index.length, np.float64)
+    else:
+        raw = index.spark.read.parquet(f"{index.path}/raw").toArrow()
+        raw_ranks = id_ranks[np.searchsorted(sorted_ids, raw.column("id").to_numpy())]
+        series = _scatter(raw.column("series"), raw_ranks, index.length, np.float64)
+    return ResidentData(
+        ids=ids,
+        zkeys=t.column("zkey").to_numpy()[order].astype(str),
+        sax=_scatter(t.column("sax"), rank, index.w, np.uint8 if index.bits <= 8 else np.uint16),
+        leaf_ids=t.column("leaf_id").to_numpy()[order],
+        series=series,
+        sorted_ids=sorted_ids,
+        id_ranks=id_ranks,
+    )
 
 
 @dataclass
@@ -47,8 +121,9 @@ class CoconutIndex:
     summaries: DataFrame         # persisted, file (rank) order
     build_disk: DiskModel        # construction I/O accounting
     disk_config: DiskConfig
-    summaries_loaded: bool = False  # SIMS lazy-load flag (Algorithm 5 l.3-4)
+    summaries_loaded: bool = False  # SIMS load charged (Algorithm 5 l.3-4)
     extra: dict = field(default_factory=dict)
+    _resident: ResidentData | None = field(default=None, repr=False)
 
     # -- derived stats (Fig 8c) -------------------------------------------
     @property
@@ -80,26 +155,38 @@ class CoconutIndex:
         return max(1, -(-count // per_block))
 
     # -- leaf access -------------------------------------------------------
+    @property
+    def resident(self) -> ResidentData:
+        """The query-side arrays, loaded on first use (one Spark read)."""
+        if self._resident is None:
+            self._resident = load_resident(self)
+        return self._resident
+
     def read_leaves(self, leaf_ids: list[int]) -> pd.DataFrame:
-        """Fetch leaf contents via partition-pruned Parquet read."""
-        if not leaf_ids:
-            return pd.DataFrame(columns=SUMMARY_COLS)
-        df = self.spark.read.parquet(f"{self.path}/leaves").where(
-            F.col("leaf_id").isin([int(i) for i in leaf_ids])
-        )
-        return df.toPandas()
+        """Records of the given leaves, in file (rank) order."""
+        r = self.resident
+        rows = np.flatnonzero(np.isin(r.leaf_ids, np.asarray(leaf_ids, dtype=np.int64)))
+        out = {
+            "rank": rows,
+            "id": r.ids[rows],
+            "zkey": r.zkeys[rows],
+            "sax": list(r.sax[rows]),
+            "leaf_id": r.leaf_ids[rows],
+        }
+        if self.materialized:
+            out["series"] = list(r.series[rows])
+        return pd.DataFrame(out)
 
     def fetch_raw(self, ids: list[int]) -> pd.DataFrame:
-        """Fetch raw series by id (secondary indexes only): the paper's
-        'go to the raw data file' step."""
-        if not ids:
-            return pd.DataFrame(columns=["id", "series"])
-        df = self.spark.read.parquet(f"{self.path}/raw").where(
-            F.col("id").isin([int(i) for i in ids])
-        )
-        return df.toPandas()
+        """(id, series) of the given ids, in the given order (secondary
+        indexes only): the paper's 'go to the raw data file' step."""
+        r = self.resident
+        rows = r.ranks_of(ids)
+        return pd.DataFrame({"id": r.ids[rows], "series": list(r.series[rows])})
 
     def close(self) -> None:
+        """Drop the resident arrays and the persisted summaries; idempotent."""
+        self._resident = None
         self.summaries.unpersist()
 
 

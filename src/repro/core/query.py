@@ -1,4 +1,4 @@
-"""Query processing over Coconut indexes.
+"""Query processing over Coconut indexes, on the driver.
 
 ``approximate_search`` is Algorithm 4: locate the leaf where the
 query's invSAX key would be inserted (binary search over the leaf
@@ -7,19 +7,22 @@ neighboring leaves, which are *contiguous on disk* because the leaf
 level is a sorted file; return the best true Euclidean distance found.
 
 ``exact_search`` is Algorithm 5 (CoconutTreeSIMS): seed a best-so-far
-from the approximate answer, compute the MINDIST lower bound for every
-in-memory summarization in file order (a Spark ``mapInPandas`` scan —
-the paper's "multiple threads computing bounds in parallel"), then
-perform the skip-sequential visit: fetch the raw series only for
-records whose bound beats the *running* bsf, in file order.  The number
-of visited records (Fig 9f) and the block traffic are accounted against
-the disk model.
+from the approximate answer, compute the MINDIST lower bound of every
+in-memory summarization in one vectorised pass over the index's
+resident ``sax`` matrix, then run :func:`sims_scan`, the skip-sequential
+visit shared with the ADS baselines: refine the bsf only with records
+whose bound beats the *running* bsf, in file (rank) order.
+
+Both run on the arrays an index keeps in driver memory
+(:class:`repro.core.coconut_common.ResidentData`), so a query runs no
+Spark job.  Disk traffic — leaf reads, raw-file fetches, the one-time
+summary load and the visited blocks (Fig 9f) — is charged to the
+:class:`DiskModel` exactly as if it had been read from disk.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 import pandas as pd
@@ -30,7 +33,7 @@ from repro.core.mindist import mindist_paa_sax
 from repro.core.paa import paa
 from repro.core.sax import symbols_from_paa
 from repro.core.zorder import interleave
-from repro.storage.disk_model import DiskModel
+from repro.storage.disk_model import DiskConfig, DiskModel
 
 
 @dataclass
@@ -52,9 +55,16 @@ def query_summary(index: CoconutIndex, query: np.ndarray) -> tuple[np.ndarray, n
     q = np.asarray(query, dtype=np.float64)
     if q.shape[-1] != index.length:
         raise ValueError(f"query length {q.shape[-1]} != index length {index.length}")
+    if not np.isfinite(q).all():
+        raise ValueError("query contains NaN or inf values")
     qp = paa(q, index.w)
     qs = symbols_from_paa(qp, index.bits)
     return qp, qs, interleave(qs[None, :], index.bits)[0]
+
+
+def _check_radius(radius: int) -> None:
+    if radius < 1:
+        raise ValueError(f"radius must be >= 1, got {radius}")
 
 
 def _target_leaf_pos(index: CoconutIndex, zkey: str) -> int:
@@ -96,20 +106,20 @@ def approximate_search(
 ) -> SearchResult:
     """Algorithm 4: best true distance within ``radius`` contiguous leaves."""
     t0 = time.perf_counter()
+    _check_radius(radius)
     disk = DiskModel(config=index.disk_config)
     _, _, qz = query_summary(index, query)
     window = _leaf_window(index, _target_leaf_pos(index, qz), radius)
-    leaf_ids = [int(index.directory.iloc[p]["leaf_id"]) for p in window]
-    counts = [int(index.directory.iloc[p]["count"]) for p in window]
+    leaves = index.directory.iloc[window]
     # Contiguous leaves: one sequential run covering the window.
-    disk.seq_read(sum(index.leaf_blocks(c) for c in counts))
-    leaf_pdf = index.read_leaves(leaf_ids)
+    disk.seq_read(sum(index.leaf_blocks(int(c)) for c in leaves["count"]))
+    leaf_pdf = index.read_leaves(leaves["leaf_id"].tolist())
     if not index.materialized:
         # Secondary index: the paper retrieves "all data series in a
         # specific radius from this point ... usually a disk page" — a
         # page of raw records around the query's sorted position per
         # radius step, not every offset in the (densely packed) leaves.
-        leaf_pdf = leaf_pdf.sort_values("zkey").reset_index(drop=True)
+        # ``read_leaves`` returns rank order, i.e. z-key order.
         pos = int(leaf_pdf["zkey"].searchsorted(qz))
         half = max(1, index.disk_config.block_series * radius // 2)
         lo = max(0, min(pos - half, len(leaf_pdf) - 2 * half))
@@ -127,9 +137,50 @@ def approximate_search(
     )
 
 
+def sims_scan(
+    *,
+    query: np.ndarray,
+    mindists: np.ndarray,
+    series: np.ndarray,
+    ids: np.ndarray,
+    bsf: float,
+    bsf_id: int,
+    disk: DiskModel,
+    config: DiskConfig,
+) -> tuple[int, float, int]:
+    """Skip-sequential scan (SIMS [62] / Algorithm 5 lines 12–22).
+
+    Walks positions in file order; for each record whose lower bound
+    beats the *running* bsf, "reads" the raw series (counted as visited)
+    and refines the bsf.  The distances of every record below the
+    initial bsf are computed in one vectorised pass; the visit and its
+    accounting follow the running bsf.  Disk charge: visited blocks in
+    file order, one sequential run per contiguous stretch.  Returns
+    (answer id, answer distance, visited record count).
+    """
+    cand = np.flatnonzero(mindists < bsf)
+    dists = euclidean(series[cand], query)
+    visited_rows = []
+    for i, md, d in zip(cand.tolist(), mindists[cand].tolist(), dists.tolist()):
+        if md >= bsf:
+            continue
+        visited_rows.append(i)
+        if d < bsf:
+            bsf = d
+            bsf_id = int(ids[i])
+    blocks = np.unique(np.asarray(visited_rows, dtype=np.int64) // config.block_series)
+    for run in np.split(blocks, np.flatnonzero(np.diff(blocks) != 1) + 1):
+        disk.seq_read(len(run))
+    return bsf_id, bsf, len(visited_rows)
+
+
 def _ensure_summaries_loaded(index: CoconutIndex, disk: DiskModel) -> None:
-    """Algorithm 5 lines 3–4: first query pays one sequential load of the
-    summarizations into memory; afterwards they are resident."""
+    """Algorithm 5 lines 3–4: the first exact query pays one sequential
+    load of the summarizations into memory; afterwards they are resident.
+
+    The charge is the model's; the arrays themselves may already be in
+    driver memory from an earlier approximate query.
+    """
     if not index.summaries_loaded:
         c = index.disk_config
         disk.seq_read(max(1, -(-index.n_series // c.summaries_per_block)))
@@ -141,6 +192,9 @@ def exact_search(
 ) -> SearchResult:
     """Algorithm 5 (CoconutTreeSIMS): exact nearest neighbor."""
     t0 = time.perf_counter()
+    _check_radius(radius)
+    qp, _, _ = query_summary(index, query)
+    resident = index.resident
     disk = DiskModel(config=index.disk_config)
     _ensure_summaries_loaded(index, disk)
 
@@ -149,86 +203,12 @@ def exact_search(
     # In-memory lower-bound computation over all N summaries (parallel
     # threads in the paper): CPU-only, one compare-scale op per summary.
     disk.charge_cpu(index.n_series * index.disk_config.cpu_sort_item_s)
-    bsf = approx.distance
-    bsf_id = approx.id
-
-    qp, _, _ = query_summary(index, query)
-    n, w, bits = index.length, index.w, index.bits
-    materialized = index.materialized
-    bsf0 = bsf
-
-    schema = "rank long, id long, md double"
-    if materialized:
-        schema += ", series array<double>"
-
-    def bounds(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            sax_mat = np.stack(pdf["sax"].to_numpy())
-            md = mindist_paa_sax(qp, sax_mat, n, bits)
-            keep = md < bsf0
-            if not keep.any():
-                # Skip empty outputs: an all-filtered batch would give the
-                # "series" column dtype float64, which Arrow cannot cast
-                # to list<double>.
-                continue
-            out = {
-                "rank": pdf["rank"].to_numpy()[keep],
-                "id": pdf["id"].to_numpy()[keep],
-                "md": md[keep],
-            }
-            if materialized:
-                out["series"] = list(pdf["series"].to_numpy()[keep])
-            yield pd.DataFrame(out)
-
-    cols = ["rank", "id", "sax"] + (["series"] if materialized else [])
-    cands = (
-        index.summaries.select(*cols)
-        .mapInPandas(bounds, schema=schema)
-        .toPandas()
-        .sort_values("rank")
-        .reset_index(drop=True)
+    md = mindist_paa_sax(qp, resident.sax, index.length, index.bits)
+    bsf_id, bsf, visited = sims_scan(
+        query=np.asarray(query, dtype=np.float64), mindists=md,
+        series=resident.series, ids=resident.ids, bsf=approx.distance,
+        bsf_id=approx.id, disk=disk, config=index.disk_config,
     )
-
-    # Raw series for candidates. Secondary: fetch from the raw file once,
-    # then visit in file order (SIMS's synchronized skip-sequential scan).
-    if materialized:
-        series_by_row = list(cands["series"])
-    else:
-        raw = index.fetch_raw(list(cands["id"]))
-        lookup = {int(r.id): np.asarray(r.series) for r in raw.itertuples()}
-        series_by_row = [lookup[int(i)] for i in cands["id"]]
-
-    q = np.asarray(query, dtype=np.float64)
-    visited = 0
-    visited_ranks: list[int] = []
-    for i in range(len(cands)):
-        if cands["md"].iat[i] >= bsf:
-            continue  # pruned by the (shrinking) running bsf — skipped
-        visited += 1
-        visited_ranks.append(int(cands["rank"].iat[i]))
-        d = float(euclidean(np.asarray(series_by_row[i], dtype=np.float64), q))
-        if d < bsf:
-            bsf = d
-            bsf_id = int(cands["id"].iat[i])
-
-    # Skip-sequential disk charge: visited records grouped into blocks in
-    # file order; each contiguous block run pays one seek.
-    c = index.disk_config
-    per_block = c.block_series  # raw records are what get visited
-    blocks = sorted({r // per_block for r in visited_ranks})
-    run_len = 0
-    for j, b in enumerate(blocks):
-        if j > 0 and b == blocks[j - 1] + 1:
-            run_len += 1
-        else:
-            if run_len:
-                disk.seq_read(run_len)
-            run_len = 1
-    if run_len:
-        disk.seq_read(run_len)
-
     return SearchResult(
         id=bsf_id,
         distance=bsf,
@@ -237,5 +217,5 @@ def exact_search(
         approx_distance=approx.distance,
         disk=disk,
         wall_s=time.perf_counter() - t0,
-        extra={"candidates": len(cands)},
+        extra={"candidates": int(np.count_nonzero(md < approx.distance))},
     )

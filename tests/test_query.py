@@ -1,4 +1,6 @@
 """Query correctness tests: approximate and exact search on Coconut."""
+import contextlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -169,3 +171,134 @@ class TestCostAccounting:
     def test_exact_disk_nonzero(self, ctree, queries):
         r = exact_search(ctree, queries[0])
         assert r.disk.seconds() > 0
+
+
+@contextlib.contextmanager
+def job_group(sc, group: str):
+    """Tag the Spark jobs this thread launches inside the block."""
+    sc.setJobGroup(group, group)
+    try:
+        yield
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+
+
+def group_jobs(sc, group: str) -> list[int]:
+    sc._jsc.sc().listenerBus().waitUntilEmpty()  # the status store fills asynchronously
+    return list(sc.statusTracker().getJobIdsForGroup(group))
+
+
+class TestDriverResident:
+    def test_no_spark_jobs_per_query(self, spark, ctree, queries):
+        """Once an index is loaded, a query runs on the driver only."""
+        sc = spark.sparkContext
+        exact_search(ctree, queries[0])
+        with job_group(sc, "coconut-queries"):
+            approximate_search(ctree, queries[1])
+            exact_search(ctree, queries[1])
+        with job_group(sc, "coconut-control"):
+            spark.range(3).count()
+        assert group_jobs(sc, "coconut-control")  # the probe sees jobs at all
+        assert group_jobs(sc, "coconut-queries") == []
+
+    def test_sims_scan_is_shared(self):
+        from repro.baselines import common, isax_index
+        from repro.core import query
+
+        assert common.sims_scan is query.sims_scan
+        assert isax_index.sims_scan is query.sims_scan
+
+    def test_close_releases_arrays_and_is_idempotent(self, spark, walk_df, tmp_path, queries):
+        from repro.core.coconut_tree import build_coconut_tree
+
+        idx = build_coconut_tree(
+            spark, walk_df, path=str(tmp_path / "close"), w=8, bits=4, leaf_capacity=50
+        )
+        approximate_search(idx, queries[0])
+        assert idx._resident is not None
+        assert idx._resident.series.shape == (idx.n_series, idx.length)
+        idx.close()
+        assert idx._resident is None
+        idx.close()
+
+
+class TestBadQueries:
+    @pytest.mark.parametrize("search", [approximate_search, exact_search])
+    @pytest.mark.parametrize("radius", [0, -3])
+    def test_radius_below_one_raises(self, ctree, queries, search, radius):
+        with pytest.raises(ValueError, match="radius must be >= 1"):
+            search(ctree, queries[0], radius=radius)
+
+    @pytest.mark.parametrize("search", [approximate_search, exact_search])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_raises(self, ctree, queries, search, bad):
+        q = queries[0].copy()
+        q[5] = bad
+        with pytest.raises(ValueError, match="query contains NaN or inf"):
+            search(ctree, q)
+
+    def test_rejected_query_leaves_index_untouched(self, spark, walk_df, tmp_path, queries):
+        """A rejected first exact query neither loads the index nor uses
+        up the one-time summary-load charge."""
+        from repro.core.coconut_tree import build_coconut_tree
+
+        idx = build_coconut_tree(
+            spark, walk_df, path=str(tmp_path / "bad"), w=8, bits=4, leaf_capacity=50
+        )
+        with pytest.raises(ValueError, match="radius"):
+            exact_search(idx, queries[0], radius=0)
+        assert not idx.summaries_loaded and idx._resident is None
+        first = exact_search(idx, queries[0])
+        again = exact_search(idx, queries[0])
+        assert first.disk.seq_read_blocks > again.disk.seq_read_blocks
+        idx.close()
+
+
+def _sims_scan_reference(query, mindists, series, ids, bsf, bsf_id, block_series):
+    """SIMS one record at a time: (id, distance, visited, block-run lengths)."""
+    visited, blocks = 0, []
+    for i in range(len(mindists)):
+        if mindists[i] >= bsf:
+            continue
+        visited += 1
+        if not blocks or blocks[-1] != i // block_series:
+            blocks.append(i // block_series)
+        d = float(euclidean(series[i], query))
+        if d < bsf:
+            bsf, bsf_id = d, int(ids[i])
+    runs = []
+    for j, b in enumerate(blocks):
+        if j and b == blocks[j - 1] + 1:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return bsf_id, bsf, visited, runs
+
+
+class TestSimsScan:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_record_at_a_time_loop(self, seed):
+        from repro.core.query import sims_scan
+        from repro.storage.disk_model import DiskConfig, DiskModel
+
+        rng = np.random.default_rng(seed)
+        series = rng.normal(size=(300, 16))
+        query = rng.normal(size=16)
+        ids = rng.permutation(300) + 1000
+        true = euclidean(series, query)
+        # Valid lower bounds, loose enough that many records are skipped.
+        mindists = true * rng.uniform(0.3, 1.0, size=300)
+        bsf = float(np.quantile(true, 0.5))
+        cfg = DiskConfig(block_series=8)
+        disk = DiskModel(config=cfg)
+        got = sims_scan(
+            query=query, mindists=mindists, series=series, ids=ids, bsf=bsf,
+            bsf_id=-1, disk=disk, config=cfg,
+        )
+        want_id, want_d, want_visited, runs = _sims_scan_reference(
+            query, mindists, series, ids, bsf, -1, cfg.block_series
+        )
+        assert got == (want_id, want_d, want_visited)
+        assert (disk.seq_read_blocks, disk.seq_runs) == (sum(runs), len(runs))
+        assert want_id == int(ids[np.argmin(true)])

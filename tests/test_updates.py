@@ -10,7 +10,8 @@ from repro.synth_data import query_workload, series_collection, series_matrix
 
 
 @pytest.fixture(scope="module")
-def merged_index(spark, tmp_path_factory):
+def merge_pair(spark, tmp_path_factory):
+    """(base, merged): the base index was queried, so it was resident."""
     tmp = tmp_path_factory.mktemp("merge")
     cfg = DiskConfig(block_series=32, memory_series=50, series_bytes=512)
     base = series_collection(spark, n_series=150, length=64, seed=21)
@@ -18,10 +19,16 @@ def merged_index(spark, tmp_path_factory):
         spark, base, path=str(tmp / "base"), w=8, bits=4, leaf_capacity=40,
         materialized=False, disk_config=cfg,
     )
+    exact_search(idx, query_workload(n_queries=1, length=64)[0])
     batch = series_collection(spark, n_series=60, length=64, seed=21, id_offset=150)
     merged = merge_batch(idx, batch, path=str(tmp / "merged"))
-    yield merged
+    yield idx, merged
     merged.close()
+
+
+@pytest.fixture(scope="module")
+def merged_index(merge_pair):
+    return merge_pair[1]
 
 
 class TestMergeBatch:
@@ -44,6 +51,12 @@ class TestMergeBatch:
         for q in query_workload(n_queries=3, length=64):
             gid, gd = exact_nn_numpy(np.arange(210), full, q)
             assert exact_search(merged_index, q).distance == pytest.approx(gd)
+
+    def test_merge_releases_old_index_arrays(self, merge_pair):
+        """The old index's resident arrays go before the merged index
+        loads its own, so the driver holds one index's arrays."""
+        base, _ = merge_pair
+        assert base._resident is None
 
     def test_merge_cost_is_sequential(self, merged_index):
         assert merged_index.build_disk.random_reads == 0
