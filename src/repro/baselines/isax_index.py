@@ -29,11 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.common import (
-    collect_series,
-    leaf_true_distances,
-    sims_scan,
-)
+from repro.baselines.common import leaf_true_distances, sims_scan
 from repro.core.mindist import mindist_paa_sax
 from repro.core.paa import paa
 from repro.core.query import SearchResult
@@ -327,9 +323,3 @@ class ISaxIndex:
         self.build_disk.cpu_insert(len(ids))
         for i in range(start, self.n):
             self._insert(i)
-
-
-def build_isax_from_df(spark_df, **kwargs) -> ISaxIndex:
-    """Convenience: collect a Spark (id, series) DataFrame and build."""
-    ids, series = collect_series(spark_df)
-    return ISaxIndex(ids, series, **kwargs)

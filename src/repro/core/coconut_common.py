@@ -8,8 +8,8 @@ comparison (paper §4.2 vs §4.3) clean:
 - ``<path>/raw``     — Parquet (id, series): stands in for the paper's
   raw series file; only written for non-materialized (secondary)
   indexes, whose leaves hold ids ("offsets") instead of series.
-- a driver-side *leaf directory* (min/max z-key, count, per-segment
-  symbol bounds): the in-memory internal levels of the tree/trie.
+- a driver-side *leaf directory* (min/max z-key, count, first rank):
+  the in-memory internal levels of the tree/trie.
 - a persisted Spark DataFrame of summaries in file order, written by
   the bulk load.
 
@@ -20,8 +20,13 @@ series the queries refine with (leaf series for Full indexes, the raw
 file for secondary ones).  ``read_leaves`` and ``fetch_raw`` are slices
 of those arrays; no query runs a Spark job.
 
-The variants differ only in how ranks map to leaves (median/equi split
-vs prefix split) and in construction cost accounting.
+Both builds are one pass over the rank-ordered z-keys: they collect the
+keys to the driver once (:func:`ranked_zkeys`), choose the rank at which
+each leaf starts, tag every row with its leaf through one bucketize over
+``rank`` (:func:`with_leaf_ids`) and build the directory on the driver
+from the same keys and starts (:func:`directory_from_summaries`).  The
+variants differ only in the start ranks (every ``capacity`` rows vs the
+minimal prefix partition) and in construction cost accounting.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql.functions import pandas_udf
 
 from repro.storage.disk_model import DiskConfig, DiskModel
 
@@ -117,7 +122,7 @@ class CoconutIndex:
     leaf_capacity: int
     materialized: bool
     n_series: int
-    directory: pd.DataFrame      # leaf_id,min_zkey,max_zkey,count (+sax bounds)
+    directory: pd.DataFrame      # leaf_id,min_zkey,max_zkey,count,min_rank
     summaries: DataFrame         # persisted, file (rank) order
     build_disk: DiskModel        # construction I/O accounting
     disk_config: DiskConfig
@@ -190,28 +195,38 @@ class CoconutIndex:
         self.summaries.unpersist()
 
 
-def directory_from_summaries(summaries: DataFrame, w: int) -> pd.DataFrame:
-    """Aggregate the leaf directory: per-leaf z-key range, count, and
-    per-segment symbol bounds (the internal-node SAX masks)."""
-    aggs = [
-        F.min("zkey").alias("min_zkey"),
-        F.max("zkey").alias("max_zkey"),
-        F.count("*").alias("count"),
-        F.min("rank").alias("min_rank"),
-    ]
-    for j in range(w):
-        aggs.append(F.min(F.col("sax")[j]).alias(f"sax_lo_{j}"))
-        aggs.append(F.max(F.col("sax")[j]).alias(f"sax_hi_{j}"))
-    pdf = summaries.groupBy("leaf_id").agg(*aggs).toPandas()
-    pdf = pdf.sort_values("min_zkey").reset_index(drop=True)
-    return pdf
+def ranked_zkeys(ranked: DataFrame) -> np.ndarray:
+    """The z-keys of a ranked DataFrame on the driver, in rank order."""
+    t = ranked.select("rank", "zkey").toArrow()
+    order = np.argsort(t.column("rank").to_numpy())
+    return t.column("zkey").to_numpy(zero_copy_only=False)[order]
 
 
-def directory_sax_bounds(directory: pd.DataFrame, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n_leaves, w) lower/upper symbol bound matrices for node pruning."""
-    lo = directory[[f"sax_lo_{j}" for j in range(w)]].to_numpy()
-    hi = directory[[f"sax_hi_{j}" for j in range(w)]].to_numpy()
-    return lo, hi
+def with_leaf_ids(ranked: DataFrame, starts) -> DataFrame:
+    """``ranked`` plus ``leaf_id``: leaf ``i`` holds ranks
+    ``starts[i] .. starts[i+1]-1`` (``starts`` ascending, from 0)."""
+    starts = np.asarray(starts, dtype=np.int64)
+
+    @pandas_udf("long")
+    def leaf_of(rank: pd.Series) -> pd.Series:
+        return pd.Series(np.searchsorted(starts, rank.to_numpy(), side="right") - 1)
+
+    return ranked.withColumn("leaf_id", leaf_of("rank"))
+
+
+def directory_from_summaries(zkeys: np.ndarray, starts) -> pd.DataFrame:
+    """The leaf directory, in ``leaf_id`` (= file) order: per-leaf z-key
+    range, count and first rank, from the rank-ordered z-keys and the
+    leaf start ranks."""
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.append(starts[1:], len(zkeys))
+    return pd.DataFrame({
+        "leaf_id": np.arange(len(starts), dtype=np.int64),
+        "min_zkey": zkeys[starts],
+        "max_zkey": zkeys[ends - 1],
+        "count": ends - starts,
+        "min_rank": starts,
+    })
 
 
 def write_index_files(

@@ -7,11 +7,13 @@ Pipeline (the paper's lines map directly onto Spark stages):
 2. lines 9–12  — external sort by invSAX: ``repartitionByRange`` +
    ``sortWithinPartitions`` + global rank (``repro.core.sort_rank``).
 3. line 13     — UB-tree-style bulk load on the sorted stream: with the
-   data sorted, median-based splitting of a leaf level is simply
-   ``leaf_id = rank // leaf_capacity`` — every leaf (except the last) is
+   data sorted, median-based splitting of a leaf level is simply a leaf
+   start every ``leaf_capacity`` ranks — every leaf (except the last) is
    exactly full, the tree over the leaf ranges is balanced by
-   construction.  Leaves are written as z-key-sorted Parquet partitions,
-   and the directory (internal levels) is aggregated per leaf.
+   construction.  Leaves are written as z-key-sorted Parquet partitions;
+   the directory (internal levels) is built on the driver from the
+   rank-ordered z-keys and the start ranks (``repro.core.coconut_common``,
+   shared with Coconut-Trie, which differs only in its start ranks).
 
 ``materialized=True`` is Coconut-Tree-Full (series stored in the
 leaves); otherwise the leaves hold ids and a stand-in raw file is
@@ -31,6 +33,8 @@ from pyspark.sql import functions as F
 from repro.core.coconut_common import (
     CoconutIndex,
     directory_from_summaries,
+    ranked_zkeys,
+    with_leaf_ids,
     write_index_files,
 )
 from repro.core.paa import paa
@@ -116,16 +120,15 @@ def build_coconut_tree(
 
     summaries = summarize_series(series_df, w, bits, keep_series=materialized)
     ranked = global_sort_with_rank(summaries, "zkey")
-    with_leaf = ranked.withColumn(
-        "leaf_id", (F.col("rank") / F.lit(leaf_capacity)).cast("long")
-    ).persist()
-    n = with_leaf.count()
-    ranked.unpersist()
-
+    zkeys = ranked_zkeys(ranked)
+    n = len(zkeys)
+    starts = range(0, n, leaf_capacity)
+    with_leaf = with_leaf_ids(ranked, starts).persist()
     write_index_files(
         with_leaf, None if materialized else series_df, path, materialized=materialized
     )
-    directory = directory_from_summaries(with_leaf, w)
+    ranked.unpersist()  # the write has filled ``with_leaf``'s cache
+    directory = directory_from_summaries(zkeys, starts)
     charge_tree_build(disk, n, materialized=materialized)
 
     return CoconutIndex(

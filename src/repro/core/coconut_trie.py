@@ -1,83 +1,72 @@
 """Coconut-Trie: bottom-up bulk-loading of a prefix-split index (Algorithm 2).
 
 Like Coconut-Tree, the build starts by summarizing and externally
-sorting by invSAX.  But leaves are constrained to *prefix boundaries* of
-the z-order key (= common iSAX prefixes across all segments, §4.2):
-within each root subtree we split recursively on the next interleaved
-bit until a group fits the leaf capacity.  Stopping at the shallowest
-fitting depth is exactly the fixpoint of the paper's ``insertBottomUp``
-+ ``CompactSubtree`` (build at full resolution, then merge sibling
-leaves while they fit): both yield the minimal prefix partition.
+sorting by invSAX, and it shares everything after the sort with it
+(``repro.core.coconut_common``): only the ranks at which leaves start
+differ.  Trie leaves are constrained to *prefix boundaries* of the
+z-order key (= common iSAX prefixes across all segments, §4.2): within
+each first-level subtree (1 bit per segment) a group splits on its next
+interleaved bit until it fits the leaf capacity.  Stopping at the
+shallowest fitting depth is exactly the fixpoint of the paper's
+``insertBottomUp`` + ``CompactSubtree`` (build at full resolution, then
+merge sibling leaves while they fit): both yield the minimal prefix
+partition.  Because the keys are already sorted, every prefix node is a
+contiguous run of ranks, so the partition is found on the driver with
+binary searches over the full-width keys — one pass over the sorted
+stream, as in Algorithm 2.
 
 Because groups can only merge at prefix boundaries, leaves end up
-sparse (paper: ~10% full) — the contrast Coconut-Tree removes.  The
-per-subtree recursion runs distributed via ``applyInPandas`` over the
-first-level (1 bit/segment) subtrees, matching Algorithm 2's
-subtree-at-a-time processing.
+sparse (paper: ~10% full) — the contrast Coconut-Tree removes.
 """
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 
-import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql.functions import pandas_udf
 
 from repro.core.coconut_common import (
     CoconutIndex,
     directory_from_summaries,
+    ranked_zkeys,
+    with_leaf_ids,
     write_index_files,
 )
 from repro.core.coconut_tree import _series_length, summarize_series
 from repro.core.sort_rank import global_sort_with_rank
 from repro.storage.disk_model import DiskConfig, DiskModel, external_sort_cost
 
-#: Prefix depth beyond which a group becomes an (oversized) leaf — 62
-#: interleaved bits is far deeper than any real split needs and keeps
-#: prefixes in int64 range.
-MAX_DEPTH = 62
 
+def prefix_leaf_starts(zkeys, *, w: int, bits: int, capacity: int) -> list[int]:
+    """Start ranks of the minimal prefix partition of *sorted* hex z-keys.
 
-def _first64(zkey_hex: str) -> int:
-    """The first 64 interleaved bits of a z-key as an unsigned int."""
-    return int(zkey_hex[:16].ljust(16, "0"), 16)
-
-
-def assign_prefix_leaves(
-    keys64: np.ndarray, *, start_depth: int, capacity: int, max_depth: int = MAX_DEPTH
-) -> list[tuple[int, int]]:
-    """Split a *sorted* array of 64-bit key prefixes into prefix leaves.
-
-    Returns one ``(depth, prefix)`` label per key.  A group splits on its
-    next interleaved bit until it fits ``capacity`` (or ``max_depth`` —
-    normally the number of real, non-padding key bits — is reached, at
-    which point all keys are identical and the leaf is oversized);
-    this is median-free, boundary-constrained splitting.
+    A leaf is one node of the binary trie over the interleaved key bits.
+    A node never holds keys of two depth-``w`` subtrees (the first trie
+    level takes 1 bit from each segment); below that it splits on its
+    next bit until it fits ``capacity``.  At depth ``w * bits`` all its
+    keys are identical and it stays a leaf however many it holds.
     """
-    max_depth = min(max_depth, MAX_DEPTH)
-    n = len(keys64)
-    labels: list[tuple[int, int]] = [(0, 0)] * n
-    if n == 0:
-        return labels
-    root_prefix = int(keys64[0]) >> (64 - start_depth) if start_depth else 0
-    stack = [(0, n, start_depth, root_prefix)]
+    keys = [int(z, 16) for z in zkeys]
+    if not keys:
+        return []
+    width = 4 * len(zkeys[0])  # padded key bits
+    max_depth = w * bits
+    starts: list[int] = []
+    stack = [(0, len(keys), 0, 0)]  # (lo, hi, depth, prefix)
     while stack:
         lo, hi, depth, prefix = stack.pop()
-        if hi - lo <= capacity or depth >= max_depth:
-            for i in range(lo, hi):
-                labels[i] = (depth, prefix)
+        if depth >= w and (hi - lo <= capacity or depth >= max_depth):
+            starts.append(lo)
             continue
         # First key whose bit at position ``depth`` is 1 — the range is
         # sorted, so the 0-child precedes the 1-child contiguously.
-        boundary = (2 * prefix + 1) << (64 - depth - 1)
-        split = lo + int(np.searchsorted(keys64[lo:hi], boundary, side="left"))
-        if split > lo:
-            stack.append((lo, split, depth + 1, 2 * prefix))
+        split = bisect_left(keys, (2 * prefix + 1) << (width - depth - 1), lo, hi)
+        # Push the 1-child first so leaves come off the stack in rank order.
         if split < hi:
             stack.append((split, hi, depth + 1, 2 * prefix + 1))
-    return labels
+        if split > lo:
+            stack.append((lo, split, depth + 1, 2 * prefix))
+    return starts
 
 
 def charge_trie_build(disk: DiskModel, n: int, n_leaves: int, leaf_capacity: int, *, materialized: bool) -> None:
@@ -129,53 +118,19 @@ def build_coconut_trie(
     disk = DiskModel(config=cfg)
     t0 = time.perf_counter()
     length = _series_length(series_df)
-    capacity = leaf_capacity
-    start_depth = w  # first trie level: 1 bit from each of the w segments
 
     summaries = summarize_series(series_df, w, bits, keep_series=materialized)
     ranked = global_sort_with_rank(summaries, "zkey")
-
-    @pandas_udf("long")
-    def root_of(zkey: pd.Series) -> pd.Series:
-        return zkey.map(lambda z: _first64(z) >> (64 - start_depth))
-
-    rooted = ranked.withColumn("root", root_of(F.col("zkey")))
-    # Fresh StructType: StructType.add mutates the cached schema in place.
-    from pyspark.sql.types import StringType, StructField, StructType
-
-    out_schema = StructType(
-        ranked.schema.fields + [StructField("leaf_label", StringType())]
-    )
-
-    def split_subtree(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values(["zkey", "id"]).reset_index(drop=True)
-        keys64 = np.array([_first64(z) for z in pdf["zkey"]], dtype=np.uint64)
-        labels = assign_prefix_leaves(
-            keys64, start_depth=start_depth, capacity=capacity,
-            max_depth=min(w * bits, MAX_DEPTH),
-        )
-        pdf = pdf.drop(columns=["root"])
-        pdf["leaf_label"] = [f"{d:02d}:{p:016x}" for d, p in labels]
-        return pdf
-
-    labeled = rooted.groupBy("root").applyInPandas(split_subtree, schema=out_schema)
-
-    # Dense leaf ids ordered by file position (labels are unique ranges).
-    label_rank = labeled.groupBy("leaf_label").agg(F.min("rank").alias("min_rank"))
-    label_pdf = label_rank.toPandas().sort_values("min_rank").reset_index(drop=True)
-    label_pdf["leaf_id"] = label_pdf.index.astype("int64")
-    mapping = spark.createDataFrame(label_pdf[["leaf_label", "leaf_id"]])
-    with_leaf = (
-        labeled.join(mapping, on="leaf_label", how="inner").drop("leaf_label").persist()
-    )
-    n = with_leaf.count()
-    ranked.unpersist()
-
+    zkeys = ranked_zkeys(ranked)
+    n = len(zkeys)
+    starts = prefix_leaf_starts(zkeys, w=w, bits=bits, capacity=leaf_capacity)
+    with_leaf = with_leaf_ids(ranked, starts).persist()
     write_index_files(
         with_leaf, None if materialized else series_df, path, materialized=materialized
     )
-    directory = directory_from_summaries(with_leaf, w)
-    charge_trie_build(disk, n, len(directory), capacity, materialized=materialized)
+    ranked.unpersist()  # the write has filled ``with_leaf``'s cache
+    directory = directory_from_summaries(zkeys, starts)
+    charge_trie_build(disk, n, len(directory), leaf_capacity, materialized=materialized)
 
     return CoconutIndex(
         spark=spark,
@@ -184,7 +139,7 @@ def build_coconut_trie(
         w=w,
         bits=bits,
         length=length,
-        leaf_capacity=capacity,
+        leaf_capacity=leaf_capacity,
         materialized=materialized,
         n_series=n,
         directory=directory,

@@ -5,7 +5,8 @@ over ``tables`` and asserts the sorted rows match ``spark_df`` (the
 Spark result). This catches wrong results from a rewritten plan or a
 custom operator — "it ran" is not "it is correct".
 
-``tables`` may be Spark or pandas DataFrames; Spark inputs are
+``tables`` and the result under test may be Spark or pandas DataFrames
+(the latter for results computed on the driver); Spark inputs are
 collected via ``.toPandas()``. Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 ``count_star()``) and project to scalar columns — array/map/struct
@@ -25,7 +26,7 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def assert_equivalent(spark_df: "DataFrame | pd.DataFrame", sql: str, **tables) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
@@ -33,7 +34,7 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = spark_df.toPandas()
+    got = spark_df.toPandas() if isinstance(spark_df, DataFrame) else spark_df
     assert set(expected.columns) == set(got.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"

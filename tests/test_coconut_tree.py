@@ -1,8 +1,6 @@
 """Unit + integration tests for the Coconut-Tree bulk loader."""
 import numpy as np
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.zorder import zkeys
 from repro.oracle import assert_equivalent
@@ -45,35 +43,21 @@ class TestStructure:
         pdf = ctree.summaries.select("rank", "zkey").toPandas().sort_values("rank")
         assert list(pdf["zkey"]) == sorted(pdf["zkey"])
 
-    def test_directory_against_oracle(self, ctree):
-        """Leaf directory aggregates equal a DuckDB GROUP BY."""
-        got = ctree.summaries.groupBy("leaf_id").agg(
-            F.min("zkey").alias("min_zkey"),
-            F.max("zkey").alias("max_zkey"),
-            F.count("*").alias("cnt"),
-        )
-        pdf = ctree.summaries.select("leaf_id", "zkey").toPandas()
-        assert_equivalent(
-            got,
-            "SELECT leaf_id, min(zkey) AS min_zkey, max(zkey) AS max_zkey, "
-            "count(*) AS cnt FROM s GROUP BY leaf_id",
-            s=pdf,
-        )
+    def test_directory_against_oracle(self, ctree, ctrie):
+        """The directory each build keeps equals a DuckDB GROUP BY over
+        its summaries."""
+        for idx in (ctree, ctrie):
+            assert_equivalent(
+                idx.directory,
+                'SELECT leaf_id, min(zkey) AS min_zkey, max(zkey) AS max_zkey, '
+                'count(*) AS "count", min(rank) AS min_rank FROM s GROUP BY leaf_id',
+                s=idx.summaries.select("leaf_id", "zkey", "rank"),
+            )
 
     def test_directory_matches_index_attribute(self, ctree):
         d = ctree.directory
         assert d["count"].sum() == N_SERIES
         assert ctree.n_leaves == len(d)
-
-    def test_sax_bounds_cover_members(self, ctree):
-        pdf = ctree.summaries.select("leaf_id", "sax").toPandas()
-        for _, row in ctree.directory.iterrows():
-            members = np.stack(
-                pdf[pdf["leaf_id"] == row["leaf_id"]]["sax"].to_numpy()
-            )
-            for j in range(ctree.w):
-                assert members[:, j].min() == row[f"sax_lo_{j}"]
-                assert members[:, j].max() == row[f"sax_hi_{j}"]
 
 
 class TestPersistedLayout:

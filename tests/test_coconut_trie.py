@@ -1,78 +1,179 @@
 """Unit + integration tests for the Coconut-Trie bulk loader."""
+import shutil
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
-from repro.core.coconut_trie import MAX_DEPTH, assign_prefix_leaves
-from repro.core.zorder import key_to_int, prefix_key
+from repro.core.coconut_tree import build_coconut_tree
+from repro.core.coconut_trie import build_coconut_trie, prefix_leaf_starts
+from repro.core.zorder import key_to_int, prefix_key, zkeys
+from repro.synth_data import series_matrix
 from tests.conftest import CAPACITY, N_SERIES
+
+#: Key bits in the unit tests: one segment (so the first trie level is
+#: the top bit) of 64 bits.
+WIDTH = 64
+
+
+def _hex(keys) -> list[str]:
+    return [f"{int(k):016x}" for k in keys]
+
+
+def _leaves(keys, capacity: int) -> list[tuple[int, int]]:
+    """[start, end) rank ranges of the prefix leaves over sorted ``keys``."""
+    starts = prefix_leaf_starts(_hex(keys), w=1, bits=WIDTH, capacity=capacity)
+    return list(zip(starts, starts[1:] + [len(keys)]))
+
+
+def _common_bits(a, b) -> int:
+    return WIDTH - (int(a) ^ int(b)).bit_length()
+
+
+def _leaf_depth(keys, lo: int, hi: int) -> int:
+    """Depth of the shallowest trie node (below the first level) holding
+    exactly ``keys[lo:hi]``: one bit deeper than the prefix the leaf
+    shares with either neighbour."""
+    shared = [_common_bits(keys[lo - 1], keys[lo])] if lo > 0 else []
+    if hi < len(keys):
+        shared.append(_common_bits(keys[hi - 1], keys[hi]))
+    return max([1] + [c + 1 for c in shared])
 
 
 class TestAssignPrefixLeaves:
+    """The Trie's leaf start ranks (:func:`prefix_leaf_starts`)."""
+
     def test_small_group_single_leaf(self):
-        keys = np.array([1, 2, 3], dtype=np.uint64)
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=10)
-        assert len(set(labels)) == 1
+        assert _leaves([1, 2, 3], capacity=10) == [(0, 3)]
 
     def test_split_on_top_bit(self):
-        lo = np.arange(5, dtype=np.uint64)
-        hi = lo + (np.uint64(1) << np.uint64(63))
-        keys = np.concatenate([lo, hi])
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=5)
-        assert len(set(labels)) == 2
-        assert labels[0] == (1, 0) and labels[-1] == (1, 1)
+        lo = list(range(5))
+        keys = lo + [k + (1 << 63) for k in lo]
+        leaves = _leaves(keys, capacity=5)
+        assert leaves == [(0, 5), (5, 10)]
+        assert [_leaf_depth(keys, a, b) for a, b in leaves] == [1, 1]
 
     def test_capacity_respected(self):
         g = np.random.default_rng(0)
         keys = np.sort(g.integers(0, 2**63, 500).astype(np.uint64))
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=40)
-        from collections import Counter
-
-        for (d, p), cnt in Counter(labels).items():
-            if d < MAX_DEPTH:
-                assert cnt <= 40
+        for lo, hi in _leaves(keys, capacity=40):
+            if keys[lo] != keys[hi - 1]:
+                assert hi - lo <= 40
 
     def test_leaves_contiguous_in_sorted_order(self):
         g = np.random.default_rng(1)
         keys = np.sort(g.integers(0, 2**63, 300).astype(np.uint64))
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=20)
-        seen = set()
-        prev = None
-        for lab in labels:
-            if lab != prev:
-                assert lab not in seen  # each label is one contiguous run
-                seen.add(lab)
-                prev = lab
+        leaves = _leaves(keys, capacity=20)
+        assert leaves[0][0] == 0 and leaves[-1][1] == len(keys)
+        for (_, hi), (lo, _) in zip(leaves, leaves[1:]):
+            assert hi == lo  # each leaf is one contiguous, non-empty run
+        assert all(lo < hi for lo, hi in leaves)
 
     def test_prefix_property(self):
-        """Every key in a (depth, prefix) leaf has that bit-prefix."""
+        """Every leaf holds exactly the keys under one bit-prefix: the
+        prefix its first and last key share, which no neighbour has."""
         g = np.random.default_rng(2)
         keys = np.sort(g.integers(0, 2**63, 200).astype(np.uint64))
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=15)
-        for key, (d, p) in zip(keys, labels):
-            if d > 0:
-                assert int(key) >> (64 - d) == p
+        for lo, hi in _leaves(keys, capacity=15):
+            d = _common_bits(keys[lo], keys[hi - 1])
+            p = int(keys[lo]) >> (WIDTH - d)
+            assert all(int(k) >> (WIDTH - d) == p for k in keys[lo:hi])
+            for nb in ([lo - 1] if lo > 0 else []) + ([hi] if hi < len(keys) else []):
+                assert int(keys[nb]) >> (WIDTH - d) != p
 
     def test_identical_keys_oversized_leaf(self):
-        keys = np.zeros(100, dtype=np.uint64)
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=10)
-        assert len(set(labels)) == 1  # cannot split identical keys
+        assert _leaves([0] * 100, capacity=10) == [(0, 100)]  # cannot split
 
     def test_minimal_depth(self):
-        """No two sibling leaves could be merged and still fit — the
-        CompactSubtree fixpoint."""
+        """No leaf's parent node would still fit: the CompactSubtree
+        fixpoint (no two siblings could be merged)."""
         g = np.random.default_rng(3)
-        keys = np.sort(g.integers(0, 2**63, 400).astype(np.uint64))
+        keys = sorted(int(k) for k in g.integers(0, 2**63, 400))
         capacity = 30
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=capacity)
-        from collections import Counter
-
-        counts = Counter(labels)
-        for (d, p), cnt in counts.items():
-            if d == 0:
+        for lo, hi in _leaves(keys, capacity):
+            d = _leaf_depth(keys, lo, hi)
+            if d <= 1:
                 continue
-            sib = (d, p ^ 1)
-            if sib in counts:
-                assert cnt + counts[sib] > capacity
+            shift = WIDTH - (d - 1)
+            parent = keys[lo] >> shift
+            size = bisect_left(keys, (parent + 1) << shift) - bisect_left(keys, parent << shift)
+            assert size > capacity
+
+
+def _near_duplicates(n: int = 200, length: int = 256) -> np.ndarray:
+    """One random walk plus N(0, 0.01) noise, z-normalized: series whose
+    z-keys agree on far more than 64 bits at the paper's w=16, bits=8."""
+    base = series_matrix(n_series=1, length=length, kind="walk", seed=0)[0]
+    x = base + np.random.default_rng(0).normal(0, 0.01, (n, length))
+    return (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+
+
+def _oversized(zkeys, starts, capacity: int) -> list[int]:
+    """Counts of leaves over ``capacity`` whose keys are not all identical."""
+    ends = list(starts[1:]) + [len(zkeys)]
+    return [
+        hi - lo for lo, hi in zip(starts, ends)
+        if hi - lo > capacity and zkeys[lo] != zkeys[hi - 1]
+    ]
+
+
+class TestFullWidthKeys:
+    """128-bit keys (w=16, bits=8): leaves split on every key bit."""
+
+    def test_prefix_leaves_split_past_64_bits(self):
+        keys = sorted(zkeys(_near_duplicates(), 16, 8))
+        starts = prefix_leaf_starts(keys, w=16, bits=8, capacity=10)
+        assert _oversized(keys, starts, 10) == []
+
+    def test_trie_build_splits_past_64_bits(self, near_dup_builds):
+        d = near_dup_builds["trie"].directory
+        big = d[(d["count"] > 10) & (d["min_zkey"] != d["max_zkey"])]
+        assert big.empty, big
+        assert d["count"].sum() == 200
+
+
+def _build_counting_jobs(spark, group: str, build):
+    """Run ``build()`` under its own Spark job group; (result, job count)."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        idx = build()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return idx, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+@pytest.fixture(scope="module")
+def near_dup_builds(spark, tmp_path_factory):
+    """A Tree and a Trie build over the same 200 near-duplicates (w=16,
+    bits=8, capacity 10), each with the Spark jobs it ran."""
+    mat = _near_duplicates()
+    df = spark.createDataFrame(
+        [(i, row.tolist()) for i, row in enumerate(mat)], "id long, series array<double>"
+    ).persist()
+    df.count()
+    out, paths = {}, []
+    for variant, builder in (("tree", build_coconut_tree), ("trie", build_coconut_trie)):
+        path = str(tmp_path_factory.mktemp(f"near_dup_{variant}"))
+        paths.append(path)
+        out[variant], out[f"{variant}_jobs"] = _build_counting_jobs(
+            spark, f"near_dup_{variant}",
+            lambda: builder(spark, df, path=path, w=16, bits=8, leaf_capacity=10),
+        )
+    yield out
+    for variant in ("tree", "trie"):
+        out[variant].close()
+    df.unpersist()
+    for path in paths:
+        shutil.rmtree(path, ignore_errors=True)
+
+
+class TestSparkJobs:
+    def test_trie_runs_no_more_jobs_than_tree(self, near_dup_builds):
+        """The Trie shares the Tree's single sorted pass: no second
+        shuffle, no label collection, no join."""
+        assert near_dup_builds["trie_jobs"] <= near_dup_builds["tree_jobs"]
 
 
 class TestTrieIndex:

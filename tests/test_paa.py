@@ -3,7 +3,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.paa import paa, paa_df
+from repro.core.coconut_tree import summarize_series
+from repro.core.paa import paa
 from repro.oracle import assert_equivalent
 
 
@@ -56,8 +57,10 @@ class TestPaaNumpy:
 
 
 class TestPaaSpark:
+    """The ``paa`` column of the build's summarization pass."""
+
     def test_matches_numpy(self, spark, walk_df, walk_mat):
-        got = paa_df(walk_df, 8).toPandas().sort_values("id")
+        got = summarize_series(walk_df, 8, 4, keep_series=False).toPandas().sort_values("id")
         expected = paa(walk_mat, 8)
         assert np.allclose(np.stack(got["paa"].to_numpy()), expected)
 
@@ -68,7 +71,7 @@ class TestPaaSpark:
         from pyspark.sql import functions as F
 
         w, n = 8, walk_mat.shape[1]
-        got = paa_df(walk_df, w).select(
+        got = summarize_series(walk_df, w, 4, keep_series=False).select(
             "id", *[F.col("paa")[j].alias(f"seg{j}") for j in range(w)]
         )
         long = unpivot_series(np.arange(len(walk_mat)), walk_mat)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.coconut_tree import summarize_series
 from repro.core.sax import reduce_word, sax
 from repro.core.zorder import (
     deinterleave,
@@ -12,7 +13,6 @@ from repro.core.zorder import (
     key_width_hex,
     prefix_key,
     zkeys,
-    zkeys_df,
 )
 
 
@@ -155,12 +155,14 @@ class TestSortingSimilarity:
 
 
 class TestZkeysSpark:
+    """The ``zkey`` and ``sax`` columns of the build's summarization pass."""
+
     def test_matches_numpy(self, spark, walk_df, walk_mat):
-        got = zkeys_df(walk_df, 8, 4).toPandas().sort_values("id")
+        got = summarize_series(walk_df, 8, 4, keep_series=False).toPandas().sort_values("id")
         expected = zkeys(walk_mat, 8, 4)
         assert list(got["zkey"]) == expected
 
     def test_sax_column_matches(self, spark, walk_df, walk_mat):
-        got = zkeys_df(walk_df, 8, 4).toPandas().sort_values("id")
+        got = summarize_series(walk_df, 8, 4, keep_series=False).toPandas().sort_values("id")
         expected = sax(walk_mat, 8, 4)
         assert np.array_equal(np.stack(got["sax"].to_numpy()), expected)
